@@ -53,14 +53,18 @@ func (ix *Index) ColNames(t *Table) []string {
 // KeyFor builds the B+tree key for a row. Non-unique indexes append the
 // RID so that every tree key is distinct (a partitioned B-tree).
 func (ix *Index) KeyFor(row []types.Value, rid storage.RID) []byte {
-	key := make([]byte, 0, 64)
+	return ix.appendKey(make([]byte, 0, 64), row, rid)
+}
+
+// appendKey appends the B+tree key for a row to dst.
+func (ix *Index) appendKey(dst []byte, row []types.Value, rid storage.RID) []byte {
 	for _, c := range ix.Cols {
-		key = types.EncodeKey(key, row[c])
+		dst = types.EncodeKey(dst, row[c])
 	}
 	if !ix.Unique {
-		key = appendRID(key, rid)
+		dst = appendRID(dst, rid)
 	}
-	return key
+	return dst
 }
 
 // PrefixFor builds the search prefix for the first len(vals) index
@@ -107,10 +111,67 @@ type Table struct {
 	Mu sync.RWMutex
 }
 
-// initVersions wires a fresh version store and its slot pin.
+// initVersions wires a fresh version store, its pre-image key
+// function and its slot pin.
 func (t *Table) initVersions(mgr *mvcc.Manager) {
-	t.Vers = mvcc.NewStore(mgr)
+	t.Vers = mvcc.NewStore(mgr, t.preKeys)
 	t.Heap.SetSlotPin(t.Vers.Pinned)
+}
+
+// preKeys is the version store's key function: a pre-image's key
+// under every index, in t.Indexes order. It runs once per versioned
+// write, so it decodes only the indexed columns, into stack buffers,
+// and packs every key into one allocation. The store calls it on
+// behalf of a writer or of index DDL, both under the exclusive latch,
+// so t.Indexes and t.Columns are stable.
+func (t *Table) preKeys(rid storage.RID, pre []byte) ([][]byte, bool) {
+	if len(t.Indexes) == 0 {
+		return nil, true
+	}
+	var needBuf [32]bool
+	var rowBuf [32]types.Value
+	need := needBuf[:0]
+	for _, ix := range t.Indexes {
+		for _, c := range ix.Cols {
+			for len(need) <= c {
+				need = append(need, false)
+			}
+			need[c] = true
+		}
+	}
+	row, _, _, err := types.DecodeRowPartial(rowBuf[:0], pre, need, len(t.Columns))
+	if err != nil {
+		return nil, false
+	}
+	keys := make([][]byte, len(t.Indexes))
+	buf := make([]byte, 0, 32*len(t.Indexes))
+	for i, ix := range t.Indexes {
+		start := len(buf)
+		buf = ix.appendKey(buf, row, rid)
+		keys[i] = buf[start:len(buf):len(buf)]
+	}
+	return keys, true
+}
+
+// indexPos returns ix's position in t.Indexes — the index the version
+// store's key lists are addressed by — or -1.
+func (t *Table) indexPos(ix *Index) int {
+	for i, x := range t.Indexes {
+		if x == ix {
+			return i
+		}
+	}
+	return -1
+}
+
+// PreKeyRIDs appends to dst the RIDs whose version chains hold a
+// pre-image keyed in [lo, hi) under ix (see VersionStore.PreKeyRIDs).
+func (t *Table) PreKeyRIDs(ix *Index, lo, hi []byte, dst []storage.RID) ([]storage.RID, error) {
+	pos := t.indexPos(ix)
+	if pos < 0 {
+		return nil, fmt.Errorf("catalog: index %s is not on %s", ix.Name, t.Name)
+	}
+	return t.Vers.PreKeyRIDs(pos, lo, hi, dst), nil
 }
 
 // SetWAL installs (or, with nils, removes) the statement's WAL loggers
@@ -687,6 +748,7 @@ func (c *Catalog) CreateIndexLogged(tableName, indexName string, colNames []stri
 		return nil, err
 	}
 	t.Indexes = append(t.Indexes, ix)
+	t.Vers.Rekey()
 	return ix, nil
 }
 
@@ -715,6 +777,7 @@ func (c *Catalog) AdoptIndex(tableName, indexName string, cols []int, unique boo
 	ix := &Index{Name: indexName, Table: t.Name, Cols: append([]int(nil), cols...),
 		Unique: unique, Tree: btree.Restore(c.pool, root)}
 	t.Indexes = append(t.Indexes, ix)
+	t.Vers.Rekey()
 	return ix, nil
 }
 
@@ -731,6 +794,7 @@ func (c *Catalog) DropIndex(tableName, indexName string) error {
 	for i, ix := range t.Indexes {
 		if strings.EqualFold(ix.Name, indexName) {
 			t.Indexes = append(t.Indexes[:i], t.Indexes[i+1:]...)
+			t.Vers.Rekey()
 			return ix.Tree.Drop()
 		}
 	}
@@ -755,6 +819,7 @@ func (c *Catalog) DropIndexDeferred(tableName, indexName string) ([]storage.Page
 				return nil, perr
 			}
 			t.Indexes = append(t.Indexes[:i], t.Indexes[i+1:]...)
+			t.Vers.Rekey()
 			return pages, nil
 		}
 	}

@@ -19,41 +19,13 @@ import (
 	"repro/internal/types"
 )
 
-// decodePre decodes a version-chain pre-image into a full row.
-func (t *Table) decodePre(pre []byte) ([]types.Value, error) {
-	row, err := types.DecodeRow(pre)
-	if err != nil {
-		return nil, err
-	}
-	for len(row) < len(t.Columns) {
-		row = append(row, types.Null())
-	}
-	return row, nil
-}
-
 // shadowedUniqueKey reports whether key is carried by the pre-image of
 // an uncommitted foreign write: the key is physically gone from the
 // index, but a rollback of that writer would bring it back. Inserting
-// it now must therefore conflict rather than race the outcome.
-func (t *Table) shadowedUniqueKey(tx *mvcc.Txn, ix *Index, key []byte) (bool, error) {
-	var derr error
-	found := false
-	t.Vers.UncommittedPreImages(func(rid storage.RID, writer *mvcc.Txn, pre []byte) bool {
-		if writer == tx {
-			return true // our own delete of this key is ours to overwrite
-		}
-		row, err := t.decodePre(pre)
-		if err != nil {
-			derr = err
-			return false
-		}
-		if bytes.Equal(ix.KeyFor(row, rid), key) {
-			found = true
-			return false
-		}
-		return true
-	})
-	return found, derr
+// it now must therefore conflict rather than race the outcome. The
+// version store files pre-images by key, so this is one lookup.
+func (t *Table) shadowedUniqueKey(tx *mvcc.Txn, ix *Index, key []byte) bool {
+	return t.Vers.ShadowedKey(tx, t.indexPos(ix), key)
 }
 
 // checkUniqueTxn classifies a prospective unique-key insert for tx:
@@ -68,11 +40,7 @@ func (t *Table) checkUniqueTxn(tx *mvcc.Txn, ix *Index, key []byte) error {
 	} else if !errors.Is(err, btree.ErrKeyNotFound) {
 		return err
 	}
-	shadowed, err := t.shadowedUniqueKey(tx, ix, key)
-	if err != nil {
-		return err
-	}
-	if shadowed {
+	if t.shadowedUniqueKey(tx, ix, key) {
 		return fmt.Errorf("catalog: %s: unique key shadowed by uncommitted delete: %w", t.Name, mvcc.ErrWriteConflict)
 	}
 	return nil
@@ -178,11 +146,7 @@ func (t *Table) UpdateRowsDeferredTxn(tx *mvcc.Txn, rids []storage.RID, oldRows,
 			if bytes.Equal(oldKey, newKey) {
 				continue
 			}
-			shadowed, err := t.shadowedUniqueKey(tx, ix, newKey)
-			if err != nil {
-				return nil, err
-			}
-			if shadowed {
+			if t.shadowedUniqueKey(tx, ix, newKey) {
 				return nil, fmt.Errorf("catalog: %s: unique key shadowed by uncommitted delete: %w", t.Name, mvcc.ErrWriteConflict)
 			}
 		}
@@ -246,22 +210,33 @@ func (t *Table) UpdateRowsDeferredTxn(tx *mvcc.Txn, rids []storage.RID, oldRows,
 	return newRIDs, nil
 }
 
+// VisibleVersion returns the bytes of rid visible to tx: its heap
+// bytes resolved through its version chain (a dead slot with no
+// visible pre-image gives ok=false). A rid whose chain was collected
+// resolves to its heap bytes, which is the version such a chain left
+// visible to every live snapshot. The bytes are safe to retain.
+func (t *Table) VisibleVersion(tx *mvcc.Txn, rid storage.RID) (rec []byte, ok bool, err error) {
+	cur, err := t.Heap.Get(rid)
+	if err != nil && !errors.Is(err, storage.ErrSlotGone) {
+		return nil, false, err
+	}
+	rec, ok = t.Vers.Resolve(tx, rid, cur)
+	return rec, ok, nil
+}
+
 // VisibleVersions enumerates the snapshot-visible bytes of rids — the
-// chained-RID set the statement captured via Vers.RIDs() when its scan
-// began. Versioned scans combine it with a physical scan that skips
-// exactly that set: rows without a chain have one version, visible to
+// chained-RID set a sequential scan captured via Vers.RIDs() when it
+// began. The scan combines it with a physical pass that skips exactly
+// that set: rows without a chain have one version, visible to
 // everyone. Taking the capture instead of re-reading the store makes
-// the statement immune to concurrent GC (a captured RID whose chain
-// was collected meanwhile resolves to its heap bytes, which is the
-// version such a chain left visible to every live snapshot). The
+// the statement immune to concurrent GC (see VisibleVersion). The
 // bytes passed to fn are safe to retain.
 func (t *Table) VisibleVersions(tx *mvcc.Txn, rids []storage.RID, fn func(rid storage.RID, rec []byte) error) error {
 	for _, rid := range rids {
-		cur, err := t.Heap.Get(rid)
-		if err != nil && !errors.Is(err, storage.ErrSlotGone) {
+		rec, ok, err := t.VisibleVersion(tx, rid)
+		if err != nil {
 			return err
 		}
-		rec, ok := t.Vers.Resolve(tx, rid, cur)
 		if !ok {
 			continue
 		}

@@ -707,3 +707,44 @@ func TestStmtRollbackFailureAllStepsAttempted(t *testing.T) {
 		t.Errorf("StmtRollbackFailures = %d, want 1", db.Stats().StmtRollbackFailures)
 	}
 }
+
+// TestVersionedPointProbeCounters checks the key-addressed version
+// lookup through the session path and its counters in Stats.Exec:
+// with 1,000 rows chained by a committed update that an older snapshot
+// still needs, a primary-key point read — and a by-key UPDATE's gather
+// — resolves at most the probed key's chains, not all 1,000.
+func TestVersionedPointProbeCounters(t *testing.T) {
+	db := newTxnDB(t, Config{}, 1000)
+	old := db.Session()
+	defer old.Close()
+	sessExec(t, old, "BEGIN")
+	sessQuery(t, old, "SELECT bal FROM acct WHERE k = 1") // pins the snapshot
+	w := db.Session()
+	defer w.Close()
+	sessExec(t, w, "BEGIN")
+	sessExec(t, w, "UPDATE acct SET bal = bal + 1")
+	sessExec(t, w, "COMMIT")
+
+	r := db.Session()
+	defer r.Close()
+	sessExec(t, r, "BEGIN")
+	before := db.Stats().Exec
+	rows := sessQuery(t, r, "SELECT bal FROM acct WHERE k = 500")
+	sessExec(t, r, "UPDATE acct SET bal = 0 WHERE k = 501")
+	after := db.Stats().Exec
+	if len(rows.Data) != 1 || rows.Data[0][0].Int != 101 {
+		t.Fatalf("point read under the new snapshot: %v, want bal 101", rows.Data)
+	}
+	probes := after.VersionedProbes - before.VersionedProbes
+	resolved := after.ChainRIDsResolved - before.ChainRIDsResolved
+	if probes != 2 {
+		t.Errorf("VersionedProbes delta = %d, want 2 (one read, one gather)", probes)
+	}
+	if resolved > 2*2 {
+		t.Errorf("ChainRIDsResolved delta = %d over %d probes of 1,000 chained rows, want <= 2 per probe", resolved, probes)
+	}
+	sessExec(t, r, "COMMIT")
+	if got := sessQuery(t, old, "SELECT bal FROM acct WHERE k = 500"); got.Data[0][0].Int != 100 {
+		t.Errorf("old snapshot reads bal %v, want the pre-image 100", got.Data)
+	}
+}

@@ -163,6 +163,8 @@ type Stats struct {
 	scanBatches   atomic.Int64
 	valuesDecoded atomic.Int64
 	valuesSkipped atomic.Int64
+	probes        atomic.Int64
+	chainResolved atomic.Int64
 }
 
 // Counters is a point-in-time snapshot of Stats.
@@ -176,6 +178,13 @@ type Counters struct {
 	// skipped by column pruning — the decode savings.
 	ValuesDecoded int64
 	ValuesSkipped int64
+	// VersionedProbes counts index probes run under a snapshot over a
+	// table with version chains (an index scan, one index-NL-join
+	// outer row, or a DML gather through an index); ChainRIDsResolved
+	// counts the chained RIDs those probes resolved. Their ratio is
+	// about the rows a probe matches, not the table's chain count.
+	VersionedProbes   int64
+	ChainRIDsResolved int64
 }
 
 // Snapshot returns current counter values.
@@ -185,6 +194,9 @@ func (s *Stats) Snapshot() Counters {
 		ScanBatches:   s.scanBatches.Load(),
 		ValuesDecoded: s.valuesDecoded.Load(),
 		ValuesSkipped: s.valuesSkipped.Load(),
+
+		VersionedProbes:   s.probes.Load(),
+		ChainRIDsResolved: s.chainResolved.Load(),
 	}
 }
 
@@ -194,11 +206,14 @@ func (s *Stats) Reset() {
 	s.scanBatches.Store(0)
 	s.valuesDecoded.Store(0)
 	s.valuesSkipped.Store(0)
+	s.probes.Store(0)
+	s.chainResolved.Store(0)
 }
 
 // scanCounters is the per-iterator local accumulator.
 type scanCounters struct {
 	rows, batches, decoded, skipped int64
+	probes, resolved                int64
 }
 
 // flush adds the local counts to the execution's Stats (nil-safe) and
@@ -213,6 +228,8 @@ func (c *scanCounters) flush(ctx *Context) {
 	st.scanBatches.Add(c.batches)
 	st.valuesDecoded.Add(c.decoded)
 	st.valuesSkipped.Add(c.skipped)
+	st.probes.Add(c.probes)
+	st.chainResolved.Add(c.resolved)
 	*c = scanCounters{}
 }
 

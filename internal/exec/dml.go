@@ -218,22 +218,20 @@ func ApplyDML(pd *PreparedDML, tx *mvcc.Txn, undo *catalog.UndoLog) (int64, erro
 // rows are copied out, so rows the filter rejects cost no allocation.
 //
 // Under a transaction, matching follows the snapshot: chained rows are
-// skipped physically and gathered through their visible versions
-// instead. The chained-RID set is captured once up front — skipping on
-// a live HasChain while enumerating versions afterwards would let a
-// concurrently committing session's GC collect a chain in between,
-// silently dropping that row from the match set. A gathered version
-// that no longer matches the physical row necessarily has an invisible
-// newest writer, so the mutators' first-updater-wins check turns it
-// into a conflict before any byte changes; whenever the check passes,
-// the visible version and the physical row are identical.
+// gathered through their visible versions instead of their pages. An
+// index gather routes RIDs through a keyProbe, like an index scan; a
+// sequential gather captures the chained-RID set once up front, like a
+// sequential scan — skipping on a live HasChain while enumerating
+// versions afterwards would let a concurrently committing session's GC
+// collect a chain in between, silently dropping that row from the
+// match set. A gathered version that no longer matches the physical
+// row necessarily has an invisible newest writer, so the mutators'
+// first-updater-wins check turns it into a conflict before any byte
+// changes; whenever the check passes, the visible version and the
+// physical row are identical.
 func gatherMatches(t *catalog.Table, path *plan.AccessPath, filter plan.Scalar, ctx *Context) ([]storage.RID, [][]types.Value, error) {
 	vers := versionedTable(ctx, t)
-	var chains chainSet
-	var chainRIDs []storage.RID
-	if vers {
-		chains, chainRIDs = captureChains(t)
-	}
+	want := len(t.Columns)
 	var rids []storage.RID
 	var rows [][]types.Value
 	var scratch []types.Value
@@ -251,6 +249,19 @@ func gatherMatches(t *catalog.Table, path *plan.AccessPath, filter plan.Scalar, 
 		rows = append(rows, copyRow(row))
 		return nil
 	}
+	// keepVersion decodes one resolved version and keeps it if it
+	// passes inRange (nil: no range) and the filter.
+	keepVersion := func(rid storage.RID, rec []byte, inRange func([]types.Value, storage.RID) bool) error {
+		row, err := types.DecodeRowInto(scratch, rec, want)
+		if err != nil {
+			return err
+		}
+		scratch = row
+		if inRange != nil && !inRange(row, rid) {
+			return nil
+		}
+		return keep(rid, row)
+	}
 	if path != nil {
 		lo, hi, ok, err := indexKeys(path, nil, ctx.Params)
 		if err != nil {
@@ -259,13 +270,21 @@ func gatherMatches(t *catalog.Table, path *plan.AccessPath, filter plan.Scalar, 
 		if !ok {
 			return nil, nil, nil
 		}
+		var probe keyProbe
+		var cnt scanCounters
+		if vers {
+			defer cnt.flush(ctx)
+			if err := probe.start(t, path.Index, lo, hi, &cnt); err != nil {
+				return nil, nil, err
+			}
+		}
 		it, err := path.Index.Tree.SeekRange(lo, hi)
 		if err != nil {
 			return nil, nil, err
 		}
 		for ; it.Valid(); it.Next() {
 			rid := it.RID()
-			if vers && chains.has(rid) {
+			if vers && probe.chained(rid) {
 				continue // gathered through the version chain below
 			}
 			row, _, _, err := t.GetRowInto(scratch, rid, nil)
@@ -281,27 +300,25 @@ func gatherMatches(t *catalog.Table, path *plan.AccessPath, filter plan.Scalar, 
 			return nil, nil, err
 		}
 		if vers {
-			err := t.VisibleVersions(ctx.Txn, chainRIDs, func(rid storage.RID, rec []byte) error {
-				row, err := decodeFull(t, rec)
-				if err != nil {
-					return err
-				}
-				if !inKeyRange(path.Index.KeyFor(row, rid), lo, hi) {
-					return nil
-				}
-				return keep(rid, row)
-			})
+			recs, err := probe.resolve(ctx, &cnt)
 			if err != nil {
 				return nil, nil, err
+			}
+			for _, e := range recs {
+				if err := keepVersion(e.rid, e.rec, probe.inRange); err != nil {
+					return nil, nil, err
+				}
 			}
 		}
 		return rids, rows, nil
 	}
 	scanner := t.Heap.Scanner()
+	var chainRIDs []storage.RID
 	if vers {
+		var chains chainSet
+		chains, chainRIDs = captureChains(t)
 		scanner.SetSkip(chains.has)
 	}
-	want := len(t.Columns)
 	for {
 		rid, rec, ok, err := scanner.Next()
 		if err != nil {
@@ -321,11 +338,7 @@ func gatherMatches(t *catalog.Table, path *plan.AccessPath, filter plan.Scalar, 
 	}
 	if vers {
 		err := t.VisibleVersions(ctx.Txn, chainRIDs, func(rid storage.RID, rec []byte) error {
-			row, err := decodeFull(t, rec)
-			if err != nil {
-				return err
-			}
-			return keep(rid, row)
+			return keepVersion(rid, rec, nil)
 		})
 		if err != nil {
 			return nil, nil, err

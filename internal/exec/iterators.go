@@ -166,30 +166,33 @@ func indexKeys(path *plan.AccessPath, row, params []types.Value) (lo, hi []byte,
 // indexScanIter is batch-native: NextBatch gathers up to BatchSize RIDs
 // from the B+tree, then FETCHes each heap row with a partial decode
 // (only the plan's needed columns) into the batch arena while the row's
-// page is pinned — no intermediate record copy.
+// page is pinned — no intermediate record copy. Under a snapshot the
+// walk leaves chained and pre-key-candidate RIDs to a keyProbe, whose
+// visible versions form the final batches.
 type indexScanIter struct {
-	node   *plan.IndexScan
-	ctx    *Context
-	it     *btree.Iterator
-	done   bool
-	vers   bool
-	chains chainSet        // chained RIDs captured at Open
-	extras [][]types.Value // visible versions of chained rows in range
-	ei     int
-	want   int
-	need   []bool
-	rids   []storage.RID
-	b      Batch
-	cur    batchCursor
-	cnt    scanCounters
+	node    *plan.IndexScan
+	ctx     *Context
+	it      *btree.Iterator
+	done    bool
+	vers    bool
+	probe   keyProbe
+	extras  []extraRec // visible versions of the probe's chain path
+	walked  bool       // the tree walk ended and extras are resolved
+	want    int
+	need    []bool
+	keyNeed []bool // need plus the index columns, for range checks
+	rids    []storage.RID
+	b       Batch
+	cur     batchCursor
+	cnt     scanCounters
 }
 
 func (it *indexScanIter) Open(ctx *Context) error {
 	it.ctx = ctx
-	it.done = false
+	it.done, it.walked = false, false
 	it.want = len(it.node.Table.Columns)
 	it.need = needMask(it.node.Needed, it.want)
-	it.extras, it.ei = nil, 0
+	it.extras = nil
 	it.cur.reset()
 	lo, hi, ok, err := indexKeys(&it.node.Path, nil, ctx.Params)
 	if err != nil {
@@ -200,18 +203,9 @@ func (it *indexScanIter) Open(ctx *Context) error {
 		return nil
 	}
 	it.vers = versionedTable(ctx, it.node.Table)
-	it.chains = nil
 	if it.vers {
-		// A chained row's visible version may carry a different key than
-		// its index entries, so the index is bypassed for those rows:
-		// every visible version is checked against [lo, hi) directly.
-		// The chained-RID set is captured once so concurrent GC cannot
-		// flip a RID back to the physical path after its version was
-		// already gathered here.
-		var rids []storage.RID
-		it.chains, rids = captureChains(it.node.Table)
-		it.extras, err = versionedRowsInRange(ctx, it.node.Table, &it.node.Path, lo, hi, rids)
-		if err != nil {
+		it.keyNeed = withKeyCols(it.need, it.node.Path.Index)
+		if err := it.probe.start(it.node.Table, it.node.Path.Index, lo, hi, &it.cnt); err != nil {
 			return err
 		}
 	}
@@ -219,20 +213,40 @@ func (it *indexScanIter) Open(ctx *Context) error {
 	return err
 }
 
-// extrasBatch emits the residual-surviving version rows as batches.
+// extrasBatch emits the in-range, residual-surviving visible versions
+// of the probe's chain path as batches.
 func (it *indexScanIter) extrasBatch() (*Batch, error) {
-	for it.ei < len(it.extras) {
+	if !it.walked {
+		it.walked = true
+		var err error
+		if it.extras, err = it.probe.resolve(it.ctx, &it.cnt); err != nil {
+			return nil, err
+		}
+	}
+	for len(it.extras) > 0 {
 		it.cnt.batches++
 		it.b.reset()
-		for it.ei < len(it.extras) && len(it.b.Rows) < BatchSize {
-			row := it.extras[it.ei]
-			it.ei++
+		for len(it.extras) > 0 && len(it.b.Rows) < BatchSize {
+			e := it.extras[0]
+			it.extras = it.extras[1:]
+			row := it.b.alloc(it.want)
+			row, dec, skip, err := types.DecodeRowPartial(row, e.rec, it.keyNeed, it.want)
+			if err != nil {
+				return nil, err
+			}
+			it.cnt.decoded += int64(dec)
+			it.cnt.skipped += int64(skip)
+			if !it.probe.inRange(row, e.rid) {
+				it.b.freeLast(it.want)
+				continue
+			}
 			if it.node.Residual != nil {
 				v, err := it.node.Residual.Eval(row, it.ctx.Params)
 				if err != nil {
 					return nil, err
 				}
 				if !plan.IsTrue(v) {
+					it.b.freeLast(it.want)
 					continue
 				}
 			}
@@ -255,7 +269,7 @@ func (it *indexScanIter) NextBatch() (*Batch, error) {
 		for len(it.rids) < BatchSize && it.it.Valid() {
 			rid := it.it.RID()
 			it.it.Next()
-			if it.vers && it.chains.has(rid) {
+			if it.vers && it.probe.chained(rid) {
 				continue // resolved through the version chain instead
 			}
 			it.rids = append(it.rids, rid)
@@ -264,9 +278,11 @@ func (it *indexScanIter) NextBatch() (*Batch, error) {
 			if err := it.it.Err(); err != nil {
 				return nil, err
 			}
-			b, err := it.extrasBatch()
-			if err != nil || b != nil {
-				return b, err
+			if it.vers {
+				b, err := it.extrasBatch()
+				if err != nil || b != nil {
+					return b, err
+				}
 			}
 			it.done = true
 			return nil, nil
@@ -699,12 +715,13 @@ type indexNLJoinIter struct {
 	haveRow bool
 	inner   *btree.Iterator
 	vers    bool
-	chains  chainSet        // chained inner RIDs captured per probe
-	extras  [][]types.Value // visible versions of chained inner rows in range
-	ei      int
+	probe   keyProbe   // routes the current outer row's probe
+	extras  []extraRec // visible versions of the probe's chain path
+	walked  bool       // the tree walk ended and extras are resolved
 	matched bool
 	width   int
 	need    []bool
+	keyNeed []bool        // need plus the index columns, for range checks
 	rowbuf  []types.Value // reused inner-fetch decode buffer
 	cnt     scanCounters
 }
@@ -713,10 +730,13 @@ func (it *indexNLJoinIter) Open(ctx *Context) error {
 	it.ctx = ctx
 	it.cur, it.inner = nil, nil
 	it.haveRow = false
-	it.extras, it.ei = nil, 0
+	it.extras = nil
 	it.width = len(it.node.Inner.Columns)
 	it.need = needMask(it.node.NeededInner, it.width)
 	it.vers = versionedTable(ctx, it.node.Inner)
+	if it.vers {
+		it.keyNeed = withKeyCols(it.need, it.node.Path.Index)
+	}
 	return it.outer.Open(ctx)
 }
 
@@ -743,18 +763,13 @@ func (it *indexNLJoinIter) Next() ([]types.Value, error) {
 			if err != nil {
 				return nil, err
 			}
-			it.extras, it.ei = nil, 0
-			it.chains = nil
+			it.extras, it.walked = nil, false
 			if it.vers {
 				// Chained inner rows join through their visible versions,
 				// range-checked against [lo, hi) directly (their index
-				// entries reflect newer keys, or none). The chained-RID
-				// set is captured per probe so concurrent GC cannot serve
-				// a row both physically and through its chain.
-				var rids []storage.RID
-				it.chains, rids = captureChains(it.node.Inner)
-				it.extras, err = versionedRowsInRange(it.ctx, it.node.Inner, &it.node.Path, lo, hi, rids)
-				if err != nil {
+				// entries reflect newer keys, or none); the probe routes
+				// each RID the walk meets exactly once.
+				if err := it.probe.start(it.node.Inner, it.node.Path.Index, lo, hi, &it.cnt); err != nil {
 					return nil, err
 				}
 			}
@@ -763,7 +778,7 @@ func (it *indexNLJoinIter) Next() ([]types.Value, error) {
 		for it.inner != nil && it.inner.Valid() {
 			rid := it.inner.RID()
 			it.inner.Next()
-			if it.vers && it.chains.has(rid) {
+			if it.vers && it.probe.chained(rid) {
 				continue // resolved through the version chain instead
 			}
 			// FETCH with partial decode into a reused buffer; combine()
@@ -795,9 +810,26 @@ func (it *indexNLJoinIter) Next() ([]types.Value, error) {
 			}
 			it.inner = nil
 		}
-		for it.ei < len(it.extras) {
-			irow := it.extras[it.ei]
-			it.ei++
+		if it.vers && !it.walked {
+			it.walked = true
+			var err error
+			if it.extras, err = it.probe.resolve(it.ctx, &it.cnt); err != nil {
+				return nil, err
+			}
+		}
+		for len(it.extras) > 0 {
+			e := it.extras[0]
+			it.extras = it.extras[1:]
+			irow, dec, skip, err := types.DecodeRowPartial(it.rowbuf, e.rec, it.keyNeed, it.width)
+			if err != nil {
+				return nil, err
+			}
+			it.rowbuf = irow
+			it.cnt.decoded += int64(dec)
+			it.cnt.skipped += int64(skip)
+			if !it.probe.inRange(irow, e.rid) {
+				continue
+			}
 			it.cnt.rows++
 			combined := combine(it.cur, irow)
 			if it.node.Residual != nil {

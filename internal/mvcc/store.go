@@ -1,6 +1,7 @@
 package mvcc
 
 import (
+	"bytes"
 	"sort"
 	"sync"
 	"time"
@@ -10,11 +11,23 @@ import (
 
 // entry is one write to a row: who made it and the bytes the row held
 // immediately before (nil if the row did not exist). The store owns
-// pre — callers must hand over bytes that nothing else mutates.
+// pre — callers must hand over bytes that nothing else mutates. keys
+// are pre's index keys as the store's KeyFunc computed them (keys[i]
+// under the table's i-th index); unkeyed marks a pre-image the KeyFunc
+// could not key.
 type entry struct {
-	writer *Txn
-	pre    []byte
+	writer  *Txn
+	pre     []byte
+	keys    [][]byte
+	unkeyed bool
 }
+
+// KeyFunc computes the index keys of a pre-image of rid: keys[i] is
+// its key under the table's i-th index. ok=false means pre could not
+// be keyed (it does not decode); such an entry is returned by every
+// key lookup, so the reader's own decode surfaces the error instead of
+// the row silently going missing.
+type KeyFunc func(rid storage.RID, pre []byte) (keys [][]byte, ok bool)
 
 // VersionStore holds the version chains of one table, keyed by RID.
 // A chain's entries run oldest to newest; the newest bytes of the row
@@ -22,15 +35,29 @@ type entry struct {
 // chain newest-first: stop at the first visible writer (the current
 // bytes are theirs), otherwise step back to that entry's pre-image.
 //
+// Every pre-image is also filed by its index keys: one ordered
+// (key, RID) list per index, so a snapshot's index probe finds the
+// chained rows whose old versions fall in its key range without
+// walking every chain. RecordWrite keys an entry once, through the
+// KeyFunc the table installed; PopWrite and GC unfile entries from the
+// keys they stored, so neither ever decodes a row; Rekey refiles every
+// live entry after the table's index set changes.
+//
 // Mutating calls happen while the caller holds the table's latch
-// exclusively (the apply phase of a DML statement, or its undo); reads
-// run under at least the shared latch. WaitCheckWrites is the one
-// latch-free entry point — it only inspects chains and parks, so the
-// internal mutex alone keeps it coherent against concurrent appliers.
+// exclusively (the apply phase of a DML statement, its undo, or index
+// DDL); reads run under at least the shared latch. GC runs from
+// committing sessions without the latch, but only ever removes
+// entries. WaitCheckWrites is the one latch-free entry point — it
+// only inspects chains and parks, so the internal mutex alone keeps it
+// coherent against concurrent appliers.
 type VersionStore struct {
 	mu     sync.Mutex
 	mgr    *Manager
 	chains map[storage.RID][]entry
+
+	keyFn   KeyFunc
+	keyed   []keyIndex          // per index: (pre-image key, RID)
+	unkeyed map[storage.RID]int // entries whose pre-image has no keys
 
 	// signal wakes conflict waiters parked on an aborted-but-not-yet-
 	// undone entry: PopWrite and GC close it (close-and-renew) whenever
@@ -38,10 +65,45 @@ type VersionStore struct {
 	signal chan struct{}
 }
 
-// NewStore returns an empty store. mgr may be nil in tests; then no
-// automatic GC registration happens.
-func NewStore(mgr *Manager) *VersionStore {
-	return &VersionStore{mgr: mgr, chains: make(map[storage.RID][]entry)}
+// NewStore returns an empty store whose pre-images keyFn keys for
+// index lookups (nil: no index lookups). mgr may be nil in tests; then
+// no automatic GC registration happens.
+func NewStore(mgr *Manager, keyFn KeyFunc) *VersionStore {
+	return &VersionStore{mgr: mgr, keyFn: keyFn, chains: make(map[storage.RID][]entry)}
+}
+
+// keysOf keys a pre-image; a nil pre-image (an insert) has no keys.
+func (s *VersionStore) keysOf(rid storage.RID, pre []byte) ([][]byte, bool) {
+	if pre == nil || s.keyFn == nil {
+		return nil, true
+	}
+	return s.keyFn(rid, pre)
+}
+
+// fileLocked adds (add) or removes e's keys in the per-index lists.
+// Called with s.mu held.
+func (s *VersionStore) fileLocked(rid storage.RID, e *entry, add bool) {
+	if e.unkeyed {
+		if add {
+			if s.unkeyed == nil {
+				s.unkeyed = make(map[storage.RID]int)
+			}
+			s.unkeyed[rid]++
+		} else if s.unkeyed[rid]--; s.unkeyed[rid] <= 0 {
+			delete(s.unkeyed, rid)
+		}
+		return
+	}
+	for i, k := range e.keys {
+		if add {
+			for len(s.keyed) <= i {
+				s.keyed = append(s.keyed, keyIndex{})
+			}
+			s.keyed[i].add(k, rid)
+		} else if i < len(s.keyed) {
+			s.keyed[i].remove(k, rid)
+		}
+	}
 }
 
 // HasVersions reports whether any chain exists. Statements use it to
@@ -88,8 +150,11 @@ func (s *VersionStore) CheckWrite(tx *Txn, rid storage.RID) error {
 // ownership of pre. The caller has already passed CheckWrite (or the
 // write is an insert into a fresh slot, which cannot conflict).
 func (s *VersionStore) RecordWrite(tx *Txn, rid storage.RID, pre []byte) {
+	keys, ok := s.keysOf(rid, pre)
+	e := entry{writer: tx, pre: pre, keys: keys, unkeyed: !ok}
 	s.mu.Lock()
-	s.chains[rid] = append(s.chains[rid], entry{writer: tx, pre: pre})
+	s.chains[rid] = append(s.chains[rid], e)
+	s.fileLocked(rid, &e, true)
 	s.mu.Unlock()
 	if s.mgr != nil {
 		s.mgr.markDirty(s)
@@ -117,6 +182,7 @@ func (s *VersionStore) PopWrite(tx *Txn, rid storage.RID) {
 	if len(ch) == 0 || ch[len(ch)-1].writer != tx {
 		return // already collected (aborted entries are GC-eligible)
 	}
+	s.fileLocked(rid, &ch[len(ch)-1], false)
 	if len(ch) == 1 {
 		delete(s.chains, rid)
 	} else {
@@ -258,31 +324,90 @@ func (s *VersionStore) RIDs() []storage.RID {
 		out = append(out, rid)
 	}
 	s.mu.Unlock()
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Page != out[j].Page {
-			return out[i].Page < out[j].Page
-		}
-		return out[i].Slot < out[j].Slot
-	})
+	sort.Slice(out, func(i, j int) bool { return out[i].Compare(out[j]) < 0 })
 	return out
 }
 
-// UncommittedPreImages calls fn for every pre-image written by a
-// transaction that has not committed (active, or aborted with its undo
-// still pending), stopping early if fn returns false. Unique-key
-// checks use it to detect keys that are physically absent from an
-// index but would reappear if the uncommitted writer rolled back.
-func (s *VersionStore) UncommittedPreImages(fn func(rid storage.RID, writer *Txn, pre []byte) bool) {
+// PreKeyRIDs appends to dst every RID holding a live pre-image whose
+// key under the table's ix-th index lies in [lo, hi) (nil bounds are
+// open), plus every RID holding a pre-image that could not be keyed.
+// The result is unordered and may repeat a RID. Together with the
+// RIDs whose current bytes the index holds in range, these are the
+// only rows whose snapshot-visible version can carry a key in range.
+func (s *VersionStore) PreKeyRIDs(ix int, lo, hi []byte, dst []storage.RID) []storage.RID {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	if ix >= 0 && ix < len(s.keyed) {
+		s.keyed[ix].scan(lo, hi, func(_ []byte, rid storage.RID) bool {
+			dst = append(dst, rid)
+			return true
+		})
+	}
+	for rid := range s.unkeyed {
+		dst = append(dst, rid)
+	}
+	return dst
+}
+
+// ShadowedKey reports whether a transaction other than tx that has not
+// committed (active, or aborted with its undo still pending) wrote a
+// pre-image whose key under the table's ix-th index is exactly key.
+// The key is then physically absent from the index but would come
+// back if that writer rolled back, so unique checks must treat it as
+// taken. A pre-image that could not be keyed counts as shadowing: a
+// retryable conflict is the safe answer when the key is unknown.
+func (s *VersionStore) ShadowedKey(tx *Txn, ix int, key []byte) bool {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	foreign := func(e *entry) bool {
+		return e.pre != nil && e.writer != tx && !e.writer.Committed()
+	}
+	found := false
+	if ix >= 0 && ix < len(s.keyed) {
+		s.keyed[ix].scan(key, nil, func(k []byte, rid storage.RID) bool {
+			if !bytes.Equal(k, key) {
+				return false
+			}
+			for i := range s.chains[rid] {
+				e := &s.chains[rid][i]
+				if foreign(e) && !e.unkeyed && ix < len(e.keys) && bytes.Equal(e.keys[ix], key) {
+					found = true
+					return false
+				}
+			}
+			return true
+		})
+	}
+	for rid := range s.unkeyed {
+		for i := range s.chains[rid] {
+			if e := &s.chains[rid][i]; e.unkeyed && foreign(e) {
+				return true
+			}
+		}
+	}
+	return found
+}
+
+// Rekey recomputes every live pre-image's keys through the KeyFunc and
+// refiles them. The table calls it, under its exclusive latch, after
+// its index set changed (CREATE INDEX, a replica adopting one, DROP
+// INDEX), so lookups by index position see the new set. The KeyFunc
+// runs under the store mutex, so a concurrent GC never unfiles an
+// entry by keys it was not filed under; it must not call back into the
+// store.
+func (s *VersionStore) Rekey() {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.keyed, s.unkeyed = nil, nil
 	for rid, ch := range s.chains {
-		for _, e := range ch {
-			if e.pre == nil || e.writer.Committed() {
+		for i := range ch {
+			e := &ch[i]
+			if e.pre == nil {
 				continue
 			}
-			if !fn(rid, e.writer, e.pre) {
-				return
-			}
+			keys, ok := s.keysOf(rid, e.pre)
+			e.keys, e.unkeyed = keys, !ok
+			s.fileLocked(rid, e, true)
 		}
 	}
 }
@@ -301,6 +426,7 @@ func (s *VersionStore) GC(horizon uint64) bool {
 		for i < len(ch) {
 			w := ch[i].writer.word.Load()
 			if w == abortedWord || (w != 0 && w <= horizon) {
+				s.fileLocked(rid, &ch[i], false)
 				i++
 				continue
 			}

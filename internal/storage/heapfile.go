@@ -15,6 +15,22 @@ type RID struct {
 // String renders the RID for diagnostics.
 func (r RID) String() string { return fmt.Sprintf("(%d,%d)", r.Page, r.Slot) }
 
+// Compare orders RIDs by (page, slot): -1, 0 or +1.
+func (r RID) Compare(o RID) int {
+	switch {
+	case r.Page != o.Page:
+		if r.Page < o.Page {
+			return -1
+		}
+		return 1
+	case r.Slot < o.Slot:
+		return -1
+	case r.Slot > o.Slot:
+		return 1
+	}
+	return 0
+}
+
 // InsertMode selects the heap's placement policy. The paper attributes
 // the Table 2 insert anomaly at schema variability 1.0 to DB2 switching
 // between exactly these two methods.

@@ -58,8 +58,22 @@ func TestDeckDistribution(t *testing.T) {
 		counts[c]++
 	}
 	for c, want := range deckCounts {
-		if counts[c] != want {
-			t.Errorf("%s: %d cards, want %d", c, counts[c], want)
+		if counts[ActionClass(c)] != want {
+			t.Errorf("%s: %d cards, want %d", ActionClass(c), counts[ActionClass(c)], want)
+		}
+	}
+}
+
+// TestDeckDeterministic: two decks built from the same seed are equal,
+// card for card.
+func TestDeckDeterministic(t *testing.T) {
+	for seed := int64(0); seed < 20; seed++ {
+		a := BuildDeck(rand.New(rand.NewSource(seed)))
+		b := BuildDeck(rand.New(rand.NewSource(seed)))
+		for i := range a {
+			if a[i] != b[i] {
+				t.Fatalf("seed %d: card %d is %s in one deck and %s in the other", seed, i, a[i], b[i])
+			}
 		}
 	}
 }

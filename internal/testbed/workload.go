@@ -46,8 +46,9 @@ func (c ActionClass) String() string {
 }
 
 // deckCounts is the Figure 6 distribution over a 10,000-card deck:
-// 50%, 15%, 9.59%, 0.3%, 17.6%, 7.5%, 0.01%.
-var deckCounts = map[ActionClass]int{
+// 50%, 15%, 9.59%, 0.3%, 17.6%, 7.5%, 0.01%. An array, not a map, so
+// BuildDeck fills the deck in one fixed class order.
+var deckCounts = [numClasses]int{
 	SelectLight: 5000,
 	SelectHeavy: 1500,
 	InsertLight: 959,
@@ -58,12 +59,13 @@ var deckCounts = map[ActionClass]int{
 }
 
 // BuildDeck creates and shuffles one card deck (the Controller's
-// TPC-C-style card deck, §4).
+// TPC-C-style card deck, §4). The same generator state always deals
+// the same deck.
 func BuildDeck(r *rand.Rand) []ActionClass {
 	deck := make([]ActionClass, 0, 10000)
 	for c, n := range deckCounts {
 		for i := 0; i < n; i++ {
-			deck = append(deck, c)
+			deck = append(deck, ActionClass(c))
 		}
 	}
 	r.Shuffle(len(deck), func(i, j int) { deck[i], deck[j] = deck[j], deck[i] })
