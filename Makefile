@@ -42,6 +42,7 @@ race-bench:
 # running without paying for full measurement (CI runs this).
 bench-smoke:
 	$(GO) test -run=XXX -bench=. -benchtime=1x .
+	$(GO) test -run=XXX -bench=. -benchtime=1x ./internal/btree/
 
 # Regenerate BENCH_1.json (the machine-readable multi-session sweep).
 bench-scaling:

@@ -11,7 +11,6 @@
 package btree
 
 import (
-	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -70,8 +69,10 @@ type Logger interface {
 }
 
 // BTree is the tree handle. Mutations must be externally serialized
-// against each other (the engine's table write locks do this); readers
-// may run concurrently with each other but not with a writer.
+// against each other (the engine's table write locks do this). Readers
+// search the pinned page bytes under the tree's read lock, so Get and
+// SeekRange may run beside a writer; Iterator says what a walk then
+// sees.
 type BTree struct {
 	pool   *storage.BufferPool
 	mu     sync.RWMutex
@@ -190,14 +191,6 @@ func decodeLeaf(buf []byte) *leafNode {
 	return ln
 }
 
-func leafSize(n *leafNode) int {
-	sz := nodeHeader
-	for _, k := range n.keys {
-		sz += uvarintLen(uint64(len(k))) + len(k) + 10
-	}
-	return sz
-}
-
 func encodeLeaf(buf []byte, n *leafNode) {
 	buf[0] = 1
 	binary.LittleEndian.PutUint16(buf[1:3], uint16(len(n.keys)))
@@ -265,39 +258,10 @@ func uvarintLen(v uint64) int {
 	return n
 }
 
-// --- search helpers ----------------------------------------------------------
+// --- search -------------------------------------------------------------------
 
-// leafPos returns the insertion position for key: the first index whose
-// key is >= key, and whether it is an exact match.
-func leafPos(n *leafNode, key []byte) (int, bool) {
-	lo, hi := 0, len(n.keys)
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if bytes.Compare(n.keys[mid], key) < 0 {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	return lo, lo < len(n.keys) && bytes.Equal(n.keys[lo], key)
-}
-
-// childFor picks the child subtree for key: the largest separator <= key
-// routes to its right child; otherwise child[0].
-func childFor(n *innerNode, key []byte) (int, storage.PageID) {
-	lo, hi := 0, len(n.keys)
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if bytes.Compare(n.keys[mid], key) <= 0 {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	return lo, n.children[lo]
-}
-
-// descend walks from the root to the leaf that would hold key.
+// descend walks from the root to the leaf that would hold key, routing
+// through each inner page in place. A nil key reaches the leftmost leaf.
 func (t *BTree) descend(key []byte) (storage.PageID, error) {
 	cur := t.root
 	for {
@@ -309,9 +273,8 @@ func (t *BTree) descend(key []byte) (storage.PageID, error) {
 			t.pool.Unpin(cur, false)
 			return cur, nil
 		}
-		in := decodeInner(buf)
+		_, child := innerChild(buf, key)
 		t.pool.Unpin(cur, false)
-		_, child := childFor(in, key)
 		cur = child
 	}
 }
@@ -328,13 +291,13 @@ func (t *BTree) Get(key []byte) (storage.RID, error) {
 	if err != nil {
 		return storage.RID{}, err
 	}
-	ln := decodeLeaf(buf)
-	t.pool.Unpin(leafID, false)
-	pos, ok := leafPos(ln, key)
+	defer t.pool.Unpin(leafID, false)
+	off, _, ok := leafSeek(buf, nodeHeader, 0, key)
 	if !ok {
 		return storage.RID{}, ErrKeyNotFound
 	}
-	return ln.rids[pos], nil
+	_, v := entryKey(buf, off)
+	return getRID(buf[v:]), nil
 }
 
 // Insert adds (key, rid). It fails with ErrDuplicateKey if key exists.
@@ -348,16 +311,18 @@ func (t *BTree) Get(key []byte) (storage.RID, error) {
 func (t *BTree) Insert(key []byte, rid storage.RID) error {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	maxEntry := uvarintLen(uint64(len(key))) + len(key) + 10
+	maxEntry := leafEntrySize(len(key))
 	if nodeHeader+2*maxEntry > t.pool.PageSize() {
 		return fmt.Errorf("btree: key of %d bytes too large for page", len(key))
 	}
 
 	// Phase 1: descend to the target leaf keeping the whole path pinned.
+	// Inner pages are routed in place; they are decoded only if the leaf
+	// splits and the separator has to travel up.
 	type pinnedInner struct {
 		id       storage.PageID
 		buf      []byte
-		node     *innerNode
+		node     *innerNode // decoded by the split path
 		childIdx int
 		dirty    bool
 	}
@@ -380,22 +345,18 @@ func (t *BTree) Insert(key []byte, rid storage.RID) error {
 			leafID, leafBuf = cur, buf
 			break
 		}
-		in := decodeInner(buf)
-		idx, child := childFor(in, key)
-		path = append(path, pinnedInner{id: cur, buf: buf, node: in, childIdx: idx})
+		idx, child := innerChild(buf, key)
+		path = append(path, pinnedInner{id: cur, buf: buf, childIdx: idx})
 		cur = child
 	}
-	ln := decodeLeaf(leafBuf)
-	pos, exists := leafPos(ln, key)
+	off, pos, end, exists := leafLocate(leafBuf, key)
 	if exists {
 		t.pool.Unpin(leafID, false)
 		unpinPath()
 		return ErrDuplicateKey
 	}
-	ln.keys = insertAt(ln.keys, pos, append([]byte(nil), key...))
-	ln.rids = insertRIDAt(ln.rids, pos, rid)
 
-	if leafSize(ln) <= t.pool.PageSize() {
+	if end+maxEntry <= t.pool.PageSize() {
 		if t.logger != nil {
 			// Log before touching the page: a failed append leaves the
 			// leaf exactly as it was.
@@ -405,12 +366,15 @@ func (t *BTree) Insert(key []byte, rid storage.RID) error {
 				return err
 			}
 		}
-		encodeLeaf(leafBuf, ln)
+		leafSplice(leafBuf, off, end, key, rid)
 		t.pool.Unpin(leafID, true)
 		unpinPath()
 		t.size++
 		return nil
 	}
+	ln := decodeLeaf(leafBuf)
+	ln.keys = insertAt(ln.keys, pos, append([]byte(nil), key...))
+	ln.rids = insertRIDAt(ln.rids, pos, rid)
 
 	// Phase 2: the leaf splits. Materialize the split chain bottom-up on
 	// the decoded copies, allocating every new page before touching any
@@ -426,7 +390,7 @@ func (t *BTree) Insert(key []byte, rid storage.RID) error {
 		return err
 	}
 
-	mid := len(ln.keys) / 2
+	mid := splitAt(ln.keys, ridSize, 0, t.pool.PageSize())
 	rightLeaf := &leafNode{next: ln.next, keys: ln.keys[mid:], rids: ln.rids[mid:]}
 	leftLeaf := &leafNode{keys: ln.keys[:mid], rids: ln.rids[:mid]}
 	rightLeafID, rightLeafBuf, err := t.pool.NewPage(storage.CatIndex)
@@ -452,7 +416,8 @@ func (t *BTree) Insert(key []byte, rid storage.RID) error {
 	var splits []innerSplit
 	level := len(path) - 1
 	for ; level >= 0; level-- {
-		in := path[level].node
+		in := decodeInner(path[level].buf)
+		path[level].node = in
 		idx := path[level].childIdx
 		in.keys = insertAt(in.keys, idx, sep)
 		in.children = insertPIDAt(in.children, idx+1, carryID)
@@ -461,7 +426,7 @@ func (t *BTree) Insert(key []byte, rid storage.RID) error {
 			absorbed = true
 			break
 		}
-		m := len(in.keys) / 2
+		m := splitAt(in.keys, childSize, 1, t.pool.PageSize())
 		upKey := in.keys[m]
 		right := &innerNode{keys: append([][]byte(nil), in.keys[m+1:]...),
 			children: append([]storage.PageID(nil), in.children[m+1:]...)}
@@ -572,8 +537,7 @@ func (t *BTree) Delete(key []byte) error {
 	if err != nil {
 		return err
 	}
-	ln := decodeLeaf(buf)
-	pos, ok := leafPos(ln, key)
+	off, _, end, ok := leafLocate(buf, key)
 	if !ok {
 		t.pool.Unpin(leafID, false)
 		return ErrKeyNotFound
@@ -584,9 +548,7 @@ func (t *BTree) Delete(key []byte) error {
 			return err
 		}
 	}
-	ln.keys = append(ln.keys[:pos], ln.keys[pos+1:]...)
-	ln.rids = append(ln.rids[:pos], ln.rids[pos+1:]...)
-	encodeLeaf(buf, ln)
+	leafCut(buf, off, end)
 	t.pool.Unpin(leafID, true)
 	t.size--
 	return nil
@@ -604,8 +566,7 @@ func (t *BTree) Update(key []byte, rid storage.RID) error {
 	if err != nil {
 		return err
 	}
-	ln := decodeLeaf(buf)
-	pos, ok := leafPos(ln, key)
+	off, _, ok := leafSeek(buf, nodeHeader, 0, key)
 	if !ok {
 		t.pool.Unpin(leafID, false)
 		return ErrKeyNotFound
@@ -616,8 +577,7 @@ func (t *BTree) Update(key []byte, rid storage.RID) error {
 			return err
 		}
 	}
-	ln.rids[pos] = rid
-	encodeLeaf(buf, ln)
+	leafSetRID(buf, off, rid)
 	t.pool.Unpin(leafID, true)
 	return nil
 }
@@ -633,11 +593,7 @@ func (t *BTree) Height() (int, error) {
 		if err != nil {
 			return 0, err
 		}
-		leaf := isLeaf(buf)
-		var next storage.PageID
-		if !leaf {
-			next = decodeInner(buf).children[0]
-		}
+		leaf, next := isLeaf(buf), nodeLink(buf)
 		t.pool.Unpin(cur, false)
 		if leaf {
 			return h, nil
@@ -670,6 +626,30 @@ func (t *BTree) dropRec(id storage.PageID) error {
 		}
 	}
 	return t.pool.FreePage(id)
+}
+
+// splitAt picks where an overfull node's keys split: the middle, unless
+// keys of very different lengths would leave a half too big for its
+// page, in which case the split point moves toward the smaller half.
+// Such a point always exists because no entry exceeds half a page.
+// valSize is the per-entry value size; up is 1 for an inner split,
+// which pushes keys[mid] up instead of keeping it in either half.
+func splitAt(keys [][]byte, valSize, up, pageSize int) int {
+	size := func(ks [][]byte) int {
+		sz := nodeHeader
+		for _, k := range ks {
+			sz += uvarintLen(uint64(len(k))) + len(k) + valSize
+		}
+		return sz
+	}
+	mid := len(keys) / 2
+	for mid > 0 && size(keys[:mid]) > pageSize {
+		mid--
+	}
+	for mid < len(keys)-1 && size(keys[mid+up:]) > pageSize {
+		mid++
+	}
+	return mid
 }
 
 func insertAt(s [][]byte, i int, v []byte) [][]byte {

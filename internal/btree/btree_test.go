@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
-	"sort"
 	"testing"
 	"testing/quick"
 
@@ -233,73 +232,57 @@ func TestOversizedKey(t *testing.T) {
 }
 
 // TestRandomOpsProperty cross-checks the tree against a sorted-map model
-// under random insert/delete/lookup streams, then verifies full-scan
-// order and range scans.
+// under random insert/delete/update/lookup/range streams over keys of
+// varied length, and checks every in-place leaf change byte for byte
+// against the decode/encode reference (see oracle). Runs of deletes
+// empty whole leaves, which stay linked (lazy deletion) for the range
+// scans to step over.
 func TestRandomOpsProperty(t *testing.T) {
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
-		tr, err := New(newPool(512))
+		o, err := newOracle(512)
 		if err != nil {
+			t.Log(err)
 			return false
 		}
-		model := map[string]storage.RID{}
-		for op := 0; op < 600; op++ {
-			k := []byte(fmt.Sprintf("k%06d", r.Intn(400)))
-			switch r.Intn(3) {
-			case 0:
-				rid := storage.RID{Page: storage.PageID(r.Intn(1 << 20))}
-				err := tr.Insert(k, rid)
-				if _, exists := model[string(k)]; exists {
-					if !errors.Is(err, ErrDuplicateKey) {
-						t.Logf("expected duplicate error for %q, got %v", k, err)
-						return false
+		universe := varKeys(r, 300)
+		for op := 0; op < 800; op++ {
+			k := universe[r.Intn(len(universe))]
+			rid := storage.RID{Page: storage.PageID(r.Intn(1 << 20)), Slot: uint16(r.Intn(1 << 16))}
+			switch c := r.Intn(12); {
+			case c < 4:
+				err = o.insert(k, rid)
+			case c < 6:
+				err = o.modify(k, nil)
+			case c < 8:
+				err = o.modify(k, &rid)
+			case c < 9:
+				err = o.get(k)
+			case c < 11:
+				err = o.seek(bound(r, universe), bound(r, universe))
+			default:
+				// Delete a run of consecutive keys.
+				keys := o.sorted()
+				if len(keys) == 0 {
+					continue
+				}
+				from := r.Intn(len(keys))
+				for _, dk := range keys[from:min(len(keys), from+30)] {
+					if err = o.modify([]byte(dk), nil); err != nil {
+						break
 					}
-				} else if err != nil {
-					return false
-				} else {
-					model[string(k)] = rid
-				}
-			case 1:
-				err := tr.Delete(k)
-				if _, exists := model[string(k)]; exists {
-					if err != nil {
-						return false
-					}
-					delete(model, string(k))
-				} else if !errors.Is(err, ErrKeyNotFound) {
-					return false
-				}
-			case 2:
-				rid, err := tr.Get(k)
-				want, exists := model[string(k)]
-				if exists && (err != nil || rid != want) {
-					return false
-				}
-				if !exists && !errors.Is(err, ErrKeyNotFound) {
-					return false
 				}
 			}
-		}
-		if tr.Len() != int64(len(model)) {
-			return false
-		}
-		// Full scan must match sorted model.
-		var keys []string
-		for k := range model {
-			keys = append(keys, k)
-		}
-		sort.Strings(keys)
-		it, err := tr.Scan()
-		if err != nil {
-			return false
-		}
-		for _, k := range keys {
-			if !it.Valid() || string(it.Key()) != k || it.RID() != model[k] {
+			if err != nil {
+				t.Logf("seed %d op %d: %v", seed, op, err)
 				return false
 			}
-			it.Next()
 		}
-		return !it.Valid() && it.Err() == nil
+		if err := o.checkAll(); err != nil {
+			t.Logf("seed %d: %v", seed, err)
+			return false
+		}
+		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Error(err)
@@ -323,5 +306,51 @@ func TestLargeTreeSplitCascade(t *testing.T) {
 		if _, err := tr.Get(key(i)); err != nil {
 			t.Errorf("get %d after cascade: %v", i, err)
 		}
+	}
+}
+
+// TestSeekRangeFetches pins the pages a point range walk reads: the
+// descent, the leaf again for the copy, and the next leaf only when
+// every entry of the first one lies below hi — a bound that falls
+// inside the leaf ends the walk there.
+func TestSeekRangeFetches(t *testing.T) {
+	pool := newPool(512)
+	tr, _ := New(pool)
+	for i := 0; i < 600; i++ {
+		tr.Insert(key(i), storage.RID{Page: 1})
+	}
+	h, err := tr.Height()
+	if err != nil || h < 2 {
+		t.Fatalf("height %d (%v)", h, err)
+	}
+	reads := func() int64 { return pool.Stats().LogicalReads[storage.CatIndex] }
+	leafID, err := tr.descend(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for leafID != storage.InvalidPageID {
+		buf, err := pool.Fetch(leafID, storage.CatIndex)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ln := decodeLeaf(buf)
+		pool.Unpin(leafID, false)
+		for e, k := range ln.keys {
+			want := int64(h + 1)
+			if e == len(ln.keys)-1 && ln.next != storage.InvalidPageID {
+				want++
+			}
+			before := reads()
+			it, err := tr.SeekRange(k, PrefixSuccessor(k))
+			if err != nil {
+				t.Fatal(err)
+			}
+			for ; it.Valid(); it.Next() {
+			}
+			if got := reads() - before; got != want {
+				t.Fatalf("point range on %q (entry %d of %d) read %d index pages, want %d", k, e, len(ln.keys), got, want)
+			}
+		}
+		leafID = ln.next
 	}
 }

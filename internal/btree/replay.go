@@ -45,24 +45,14 @@ func (t *BTree) Pages() ([]storage.PageID, error) {
 }
 
 // RecountSize rebuilds the entry count by walking the leaf chain —
-// derived state the log deliberately does not carry.
+// derived state the log deliberately does not carry. Only the page
+// headers are read.
 func (t *BTree) RecountSize() error {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	// Descend to the leftmost leaf.
-	cur := t.root
-	for {
-		buf, err := t.pool.Fetch(cur, storage.CatIndex)
-		if err != nil {
-			return err
-		}
-		if isLeaf(buf) {
-			t.pool.Unpin(cur, false)
-			break
-		}
-		next := decodeInner(buf).children[0]
-		t.pool.Unpin(cur, false)
-		cur = next
+	cur, err := t.descend(nil)
+	if err != nil {
+		return err
 	}
 	var n int64
 	for cur != storage.InvalidPageID {
@@ -70,10 +60,10 @@ func (t *BTree) RecountSize() error {
 		if err != nil {
 			return err
 		}
-		ln := decodeLeaf(buf)
+		n += int64(nodeCount(buf))
+		next := nodeLink(buf)
 		t.pool.Unpin(cur, false)
-		n += int64(len(ln.keys))
-		cur = ln.next
+		cur = next
 	}
 	t.size = n
 	return nil
@@ -90,6 +80,10 @@ func ReplayInit(pool *storage.BufferPool, page storage.PageID) error {
 	return nil
 }
 
+// The leaf redo helpers below apply a record with the same in-place
+// functions Insert, Delete and Update use, so primary and replay
+// produce the same bytes.
+
 // ReplayInsert redoes a leaf insert of key→rid on page. The pageLSN
 // skip guarantees the leaf is in the pre-record state, so the key must
 // be absent and must fit.
@@ -98,19 +92,16 @@ func ReplayInsert(pool *storage.BufferPool, page storage.PageID, key []byte, rid
 	if err != nil {
 		return err
 	}
-	ln := decodeLeaf(buf)
-	pos, exists := leafPos(ln, key)
+	off, _, end, exists := leafLocate(buf, key)
 	if exists {
 		pool.Unpin(page, false)
 		return fmt.Errorf("btree: replay insert of existing key on page %d", page)
 	}
-	ln.keys = insertAt(ln.keys, pos, append([]byte(nil), key...))
-	ln.rids = insertRIDAt(ln.rids, pos, rid)
-	if leafSize(ln) > pool.PageSize() {
+	if end+leafEntrySize(len(key)) > pool.PageSize() {
 		pool.Unpin(page, false)
 		return fmt.Errorf("btree: replay insert overflows page %d", page)
 	}
-	encodeLeaf(buf, ln)
+	leafSplice(buf, off, end, key, rid)
 	pool.Unpin(page, true)
 	return nil
 }
@@ -121,15 +112,12 @@ func ReplayDelete(pool *storage.BufferPool, page storage.PageID, key []byte) err
 	if err != nil {
 		return err
 	}
-	ln := decodeLeaf(buf)
-	pos, ok := leafPos(ln, key)
+	off, _, end, ok := leafLocate(buf, key)
 	if !ok {
 		pool.Unpin(page, false)
 		return fmt.Errorf("btree: replay delete of missing key on page %d", page)
 	}
-	ln.keys = append(ln.keys[:pos], ln.keys[pos+1:]...)
-	ln.rids = append(ln.rids[:pos], ln.rids[pos+1:]...)
-	encodeLeaf(buf, ln)
+	leafCut(buf, off, end)
 	pool.Unpin(page, true)
 	return nil
 }
@@ -140,14 +128,12 @@ func ReplayUpdate(pool *storage.BufferPool, page storage.PageID, key []byte, rid
 	if err != nil {
 		return err
 	}
-	ln := decodeLeaf(buf)
-	pos, ok := leafPos(ln, key)
+	off, _, ok := leafSeek(buf, nodeHeader, 0, key)
 	if !ok {
 		pool.Unpin(page, false)
 		return fmt.Errorf("btree: replay update of missing key on page %d", page)
 	}
-	ln.rids[pos] = rid
-	encodeLeaf(buf, ln)
+	leafSetRID(buf, off, rid)
 	pool.Unpin(page, true)
 	return nil
 }

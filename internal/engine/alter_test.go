@@ -212,8 +212,12 @@ func TestAlterLazyUpgradeOnWrite(t *testing.T) {
 	mustExec(t, db, "CREATE TABLE acc (id INTEGER NOT NULL, name VARCHAR(20))")
 	mustExec(t, db, "INSERT INTO acc VALUES (1, 'a')")
 
-	// Hold the schema chain open so the backfiller cannot scrub ahead of
-	// the foreground write we want to observe.
+	// Keep the backfiller off the row until the foreground write we want
+	// to observe. A held snapshot alone does not: padding a row for ADD
+	// COLUMN is safe under any snapshot, so the backfiller may do it at
+	// once. It does skip rows with a live version chain, so write the
+	// row while the snapshot is held, which chains the pre-image the
+	// snapshot still reads until the hold commits.
 	hold := db.Session()
 	defer hold.Close()
 	if _, err := hold.Exec("BEGIN"); err != nil {
@@ -222,14 +226,18 @@ func TestAlterLazyUpgradeOnWrite(t *testing.T) {
 	if _, err := hold.Query("SELECT * FROM acc"); err != nil {
 		t.Fatal(err)
 	}
-
-	mustExec(t, db, "ALTER TABLE acc ADD COLUMN beds INTEGER")
-	mustExec(t, db, "UPDATE acc SET name = 'b' WHERE id = 1")
-
+	mustExec(t, db, "UPDATE acc SET name = 'a2' WHERE id = 1")
 	tbl, err := db.Catalog().Table("acc")
 	if err != nil {
 		t.Fatal(err)
 	}
+	if n := len(tbl.Vers.RIDs()); n != 1 {
+		t.Fatalf("%d chained rows under the held snapshot, want 1", n)
+	}
+
+	mustExec(t, db, "ALTER TABLE acc ADD COLUMN beds INTEGER")
+	mustExec(t, db, "UPDATE acc SET name = 'b' WHERE id = 1")
+
 	if got := tbl.LazyUpgrades.Load(); got != 1 {
 		t.Errorf("LazyUpgrades = %d, want 1", got)
 	}

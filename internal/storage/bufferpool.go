@@ -1,7 +1,6 @@
 package storage
 
 import (
-	"container/list"
 	"errors"
 	"fmt"
 	"runtime"
@@ -52,7 +51,10 @@ type frame struct {
 	pins  int
 	dirty bool
 	cat   Category
-	elem  *list.Element // position in LRU list; nil while pinned
+	// prev/next link the frame into its shard's LRU list while it is
+	// unpinned; linked reports membership.
+	prev, next *frame
+	linked     bool
 
 	// lsn is the page's pageLSN: the LSN of the last log record applied
 	// to it (NoLSN when it has never been mutated under WAL). recLSN is
@@ -75,10 +77,42 @@ type poolShard struct {
 	disk     *Disk
 	gate     WALGate // nil when running without a WAL
 	frames   map[PageID]*frame
-	lru      *list.List // front = LRU victim candidate, back = most recent
-	capacity int        // max resident frames in this shard
+	lru      lruList // head = LRU victim candidate, tail = most recent
+	capacity int     // max resident frames in this shard
 
 	stats PoolStats
+}
+
+// lruList is an intrusive doubly linked list of a shard's unpinned
+// frames: head = LRU victim candidate, tail = most recently unpinned.
+// Linking a frame allocates nothing, so fetching and unpinning a
+// resident page is allocation-free.
+type lruList struct {
+	head, tail *frame
+}
+
+func (l *lruList) pushBack(f *frame) {
+	f.prev, f.next, f.linked = l.tail, nil, true
+	if l.tail != nil {
+		l.tail.next = f
+	} else {
+		l.head = f
+	}
+	l.tail = f
+}
+
+func (l *lruList) remove(f *frame) {
+	if f.prev != nil {
+		f.prev.next = f.next
+	} else {
+		l.head = f.next
+	}
+	if f.next != nil {
+		f.next.prev = f.prev
+	} else {
+		l.tail = f.prev
+	}
+	f.prev, f.next, f.linked = nil, nil, false
 }
 
 // BufferPool caches disk pages with LRU replacement. Its capacity is
@@ -207,7 +241,7 @@ func NewBufferPool(disk *Disk, capacityBytes int64) *BufferPool {
 	p.mask = uint64(n - 1)
 	p.shards = make([]*poolShard, n)
 	for i := range p.shards {
-		p.shards[i] = &poolShard{disk: disk, frames: make(map[PageID]*frame), lru: list.New()}
+		p.shards[i] = &poolShard{disk: disk, frames: make(map[PageID]*frame)}
 	}
 	for i, c := range splitCapacity(total, n) {
 		p.shards[i].capacity = c
@@ -307,9 +341,8 @@ func (p *BufferPool) Fetch(id PageID, cat Category) ([]byte, error) {
 	s.stats.LogicalReads[cat]++
 	if f, ok := s.frames[id]; ok {
 		f.pins++
-		if f.elem != nil {
-			s.lru.Remove(f.elem)
-			f.elem = nil
+		if f.linked {
+			s.lru.remove(f)
 		}
 		ready := f.ready
 		s.mu.Unlock()
@@ -393,7 +426,7 @@ func (p *BufferPool) Unpin(id PageID, dirty bool) {
 		f.dirty = true
 	}
 	if f.pins == 0 {
-		f.elem = s.lru.PushBack(f)
+		s.lru.pushBack(f)
 		if len(s.frames) > s.capacity {
 			// Deferred shrink: the pool was resized below its resident
 			// count while everything was pinned. Best effort — an I/O
@@ -425,15 +458,14 @@ func (s *poolShard) makeRoomLocked() error {
 // statement's begin LSN) and the log must be durable through its
 // pageLSN before the write-back (WAL-before-data).
 func (s *poolShard) evictOneLocked() error {
-	if s.lru.Len() == 0 {
+	if s.lru.head == nil {
 		return ErrPoolExhausted
 	}
 	oldestActive := InfiniteLSN
 	if s.gate != nil {
 		oldestActive = s.gate.OldestActiveLSN()
 	}
-	for e := s.lru.Front(); e != nil; e = e.Next() {
-		f := e.Value.(*frame)
+	for f := s.lru.head; f != nil; f = f.next {
 		if f.dirty && s.gate != nil && f.lsn != NoLSN && f.lsn >= oldestActive {
 			continue // may carry uncommitted work; redo could not undo it
 		}
@@ -447,8 +479,7 @@ func (s *poolShard) evictOneLocked() error {
 				return err
 			}
 		}
-		s.lru.Remove(e)
-		f.elem = nil
+		s.lru.remove(f)
 		delete(s.frames, f.id)
 		s.stats.Evictions++
 		return nil
@@ -526,7 +557,7 @@ func (p *BufferPool) DropAll() error {
 			}
 		}
 		s.frames = make(map[PageID]*frame)
-		s.lru.Init()
+		s.lru = lruList{}
 	}
 	return nil
 }
@@ -539,7 +570,7 @@ func (p *BufferPool) Crash() {
 	for _, s := range p.shards {
 		s.mu.Lock()
 		s.frames = make(map[PageID]*frame)
-		s.lru.Init()
+		s.lru = lruList{}
 		s.mu.Unlock()
 	}
 }
@@ -587,8 +618,8 @@ func (p *BufferPool) FreePage(id PageID) error {
 			s.mu.Unlock()
 			return fmt.Errorf("storage: FreePage of pinned page %d", id)
 		}
-		if f.elem != nil {
-			s.lru.Remove(f.elem)
+		if f.linked {
+			s.lru.remove(f)
 		}
 		delete(s.frames, id)
 	}
